@@ -24,6 +24,7 @@
 //! a replayed stream is **bit-identical at any thread count**, matching
 //! the experiment drivers' contract.
 
+mod engine_queue;
 pub mod faults;
 pub mod queueing;
 pub mod sharding;

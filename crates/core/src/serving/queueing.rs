@@ -144,6 +144,7 @@ pub use crate::serving::traffic::{
 use crate::accel::AccelModel;
 use crate::config::HwConfig;
 use crate::metrics::SimReport;
+use crate::serving::engine_queue::{EngineQueue, Queued};
 use crate::serving::{percentile, Request, ServingContext};
 
 /// How the dispatcher picks an engine for the request at the head of the
@@ -1419,30 +1420,14 @@ pub struct FailedRecord {
 
 /// A warm-accounted service: the priced service time and the cache
 /// counters the accounting produced.
-#[derive(Debug, Clone, Copy)]
-struct ExactService {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct ExactService {
     service: u64,
     warm: SpanCounts,
     /// Cross-shard network bill (all-zero without a shard plan).
     net: NetCost,
     /// Feature rows streamed (lite sample under lite service).
     sampled: u64,
-}
-
-/// A request assigned to an engine but not yet started (lazy loop only).
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    id: usize,
-    arrival: u64,
-    /// Service estimate at assignment time (the assignee's scale). In
-    /// exact-estimate mode this is the warm-accounted service; in
-    /// reordering/stealing/drill runs it is the cold scaled estimate
-    /// and the serving engine re-prices when service starts.
-    est: u64,
-    /// The warm accounting already performed at assignment
-    /// (exact-estimate mode only) — consumed by `start_service` without
-    /// touching the cache again.
-    exact: Option<ExactService>,
 }
 
 /// The request an engine is currently serving (lazy loop only) — what a
@@ -1461,7 +1446,7 @@ struct Engine {
     next_free: u64,
     /// Assigned-but-unstarted requests (lazy loop only; always empty in
     /// the eager loop).
-    queue: Vec<Queued>,
+    queue: EngineQueue,
     /// Sum of queued service estimates (backlog projection).
     queued_est: u64,
     busy: u64,
@@ -1701,6 +1686,10 @@ struct QueueSim<'a> {
     attempts: Vec<u32>,
     /// Original arrival instant per request (drill bookkeeping).
     arrival_of: Vec<u64>,
+    /// The engine whose queue holds each request, with the entry's queue
+    /// sequence number (`None` while the request is not queued:
+    /// unarrived, in service, terminal, or awaiting a redrive).
+    holder: Vec<Option<(usize, u64)>>,
     /// Mean cold service time of the prepared stream (cycles).
     mean_service: f64,
     /// Autoscale provisioning delay / decision cooldown (cycles).
@@ -2295,6 +2284,8 @@ impl QueueSim<'_> {
                 // completion is pending, so they are empty too): the
                 // remaining fault/provision events are beyond the
                 // makespan and cannot affect any metric.
+                #[cfg(debug_assertions)]
+                self.check_invariants(now, now);
                 break;
             }
             let next = [tf, tp, ta, tr, tc, tq]
@@ -2319,6 +2310,10 @@ impl QueueSim<'_> {
                     self.evaluate_degrade(now);
                 }
                 continue;
+            }
+            #[cfg(debug_assertions)]
+            if next.0 != now {
+                self.check_invariants(now, next.0);
             }
             now = next.0;
             match next.1 {
@@ -2372,6 +2367,49 @@ impl QueueSim<'_> {
         }
     }
 
+    /// Debug-build bookkeeping audit at the instant boundary `now →
+    /// next`: the clock never runs backwards, every engine's
+    /// `queued_est` is the sum of its queued estimates, the holder index
+    /// names exactly the queued requests, and every arrival seen so far
+    /// is accounted for exactly once — started (in service or
+    /// completed), shed, failed, queued, or awaiting a redrive.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self, now: u64, next: u64) {
+        assert!(next >= now, "clock ran backwards: {now} -> {next}");
+        let mut queued = 0;
+        for (e, eng) in self.engines.iter().enumerate() {
+            let est = eng
+                .queue
+                .iter()
+                .fold(0u64, |acc, (_, q)| acc.saturating_add(q.est));
+            assert_eq!(
+                eng.queued_est, est,
+                "engine {e}: queued_est drifted at {now}"
+            );
+            for (seq, q) in eng.queue.iter() {
+                assert_eq!(
+                    self.holder[q.id],
+                    Some((e, seq)),
+                    "request {}: stale holder",
+                    q.id
+                );
+            }
+            queued += eng.queue.len();
+        }
+        let held = self.holder.iter().filter(|h| h.is_some()).count();
+        assert_eq!(
+            held, queued,
+            "holder index names unqueued requests at {now}"
+        );
+        let seen = match &self.source {
+            Source::Open { ptr, .. } => *ptr,
+            Source::Closed { cursor, .. } => *cursor,
+        };
+        let accounted =
+            self.records.len() + self.shed.len() + self.failed.len() + queued + self.redrives.len();
+        assert_eq!(seen, accounted, "request conservation broken at {now}");
+    }
+
     /// Drops completion entries whose engine crashed after they were
     /// minted (their epoch is stale) so peeks see only live work.
     fn purge_stale_completions(&mut self) {
@@ -2415,12 +2453,15 @@ impl QueueSim<'_> {
             None
         };
         let est = exact.map_or(est, |x| x.service);
-        self.engines[e].queue.push(Queued {
-            id,
-            arrival: t,
-            est,
-            exact,
-        });
+        self.enqueue(
+            e,
+            Queued {
+                id,
+                arrival: t,
+                est,
+                exact,
+            },
+        );
         self.engines[e].queued_est = self.engines[e].queued_est.saturating_add(est);
         self.dispatch_idle(t);
         // An interactive arrival that is *still* waiting after the
@@ -2430,7 +2471,7 @@ impl QueueSim<'_> {
         if let Some(pol) = &self.cfg.classes {
             if pol.preempt
                 && self.req_class(id) == RequestClass::Interactive
-                && self.holding_engine(id).is_some()
+                && self.holder[id].is_some()
             {
                 self.preempts.push(Reverse((t, id)));
             }
@@ -2469,13 +2510,6 @@ impl QueueSim<'_> {
         }
     }
 
-    /// The engine whose queue currently holds request `id`, if any.
-    fn holding_engine(&self, id: usize) -> Option<usize> {
-        self.engines
-            .iter()
-            .position(|e| e.queue.iter().any(|q| q.id == id))
-    }
-
     /// Attempts to preempt an in-service batch request in favor of the
     /// still-waiting interactive request `id`. No-ops when the request
     /// already started (or terminated), or when no victim qualifies. A
@@ -2494,7 +2528,7 @@ impl QueueSim<'_> {
             _ => return,
         };
         // Stale event: the request already reached an engine.
-        let Some(src) = self.holding_engine(id) else {
+        let Some((src, seq)) = self.holder[id] else {
             return;
         };
         let mut victim: Option<(u64, usize)> = None; // (finish, engine)
@@ -2520,12 +2554,11 @@ impl QueueSim<'_> {
             // interactive cannot strand in the backlog past its
             // deadline — it sheds now instead.
             let arrival = self.arrival_of[id];
-            let qpos = self.engines[src]
+            let est = self.engines[src]
                 .queue
-                .iter()
-                .position(|q| q.id == id)
-                .expect("holder still queues the request");
-            let est = self.engines[src].queue[qpos].est;
+                .get(seq)
+                .expect("holder still queues the request")
+                .est;
             // The request itself already sits in the holder's queue, so
             // its own estimate must come back out of the projection —
             // otherwise the deadline check double-counts its service.
@@ -2535,7 +2568,7 @@ impl QueueSim<'_> {
                 .saturating_sub(arrival);
             let ddl = self.class_ddl[self.req_class(id).idx()];
             if wait_pred.saturating_add(est) > ddl {
-                let q = self.engines[src].queue.remove(qpos);
+                let q = self.dequeue(id);
                 self.engines[src].queued_est -= q.est;
                 self.shed.push(ShedRecord {
                     index: self.prepared[id].request.index,
@@ -2569,21 +2602,19 @@ impl QueueSim<'_> {
         // residual re-prices against the warm cache at restart.
         self.assign_format(ve, fl.id);
         let vest = self.cold_est(ve, fl.id);
-        self.engines[ve].queue.push(Queued {
-            id: fl.id,
-            arrival: self.arrival_of[fl.id],
-            est: vest,
-            exact: None,
-        });
+        self.enqueue(
+            ve,
+            Queued {
+                id: fl.id,
+                arrival: self.arrival_of[fl.id],
+                est: vest,
+                exact: None,
+            },
+        );
         self.engines[ve].queued_est = self.engines[ve].queued_est.saturating_add(vest);
         // Move the interactive request to the freed engine and start it
         // now (bypassing the queue discipline — that is the point).
-        let qpos = self.engines[src]
-            .queue
-            .iter()
-            .position(|q| q.id == id)
-            .expect("holder still queues the request");
-        let q = self.engines[src].queue.remove(qpos);
+        let q = self.dequeue(id);
         self.engines[src].queued_est -= q.est;
         self.assign_format(ve, id);
         let finish = self.start_service(ve, id, q.arrival, t, None);
@@ -2703,12 +2734,15 @@ impl QueueSim<'_> {
         }
         // Redrives exist only under drills, which never run in
         // exact-estimate mode: queue at the cold estimate.
-        self.engines[e].queue.push(Queued {
-            id,
-            arrival: self.arrival_of[id],
-            est,
-            exact: None,
-        });
+        self.enqueue(
+            e,
+            Queued {
+                id,
+                arrival: self.arrival_of[id],
+                est,
+                exact: None,
+            },
+        );
         self.engines[e].queued_est = self.engines[e].queued_est.saturating_add(est);
         self.dispatch_idle(t);
     }
@@ -2744,9 +2778,12 @@ impl QueueSim<'_> {
             self.handle_kill(fl.id, t);
         }
         self.engines[e].next_free = t;
-        let killed = std::mem::take(&mut self.engines[e].queue);
+        // Assignment order: it fixes the order of the failed/redrive
+        // pushes below.
+        let killed = self.engines[e].queue.drain();
         self.engines[e].queued_est = 0;
         for q in killed {
+            self.holder[q.id] = None;
             self.handle_kill(q.id, t);
         }
     }
@@ -2893,12 +2930,12 @@ impl QueueSim<'_> {
     }
 
     /// The next request engine `e` should serve: its own queue in
-    /// discipline order, else (with work stealing) the tail of the
-    /// longest peer queue (ties to the lowest peer id).
+    /// discipline order, else (with work stealing) the most recently
+    /// assigned entry of the longest peer queue (ties to the lowest peer
+    /// id).
     fn pop_next(&mut self, e: usize) -> Option<Queued> {
-        if !self.engines[e].queue.is_empty() {
-            let pos = self.discipline_pos(&self.engines[e].queue);
-            let q = self.engines[e].queue.remove(pos);
+        if let Some(q) = self.engines[e].queue.pop_next() {
+            self.holder[q.id] = None;
             self.engines[e].queued_est -= q.est;
             return Some(q);
         }
@@ -2916,44 +2953,52 @@ impl QueueSim<'_> {
         if victim == usize::MAX {
             return None;
         }
-        let q = self.engines[victim].queue.pop().expect("non-empty victim");
+        let q = self.engines[victim]
+            .queue
+            .pop_back()
+            .expect("non-empty victim");
+        self.holder[q.id] = None;
         self.engines[victim].queued_est -= q.est;
         Some(q)
     }
 
-    /// The queue position the discipline serves next: earliest absolute
-    /// deadline (ties to the lowest id) under `slo-aware` — and under
-    /// deadline classes for **every** policy, each request's deadline
-    /// being its class's (so an interactive request overtakes queued
-    /// batch work) — the front (assignment order) otherwise. Without an
-    /// SLO every deadline saturates and EDF degenerates to id order —
-    /// FIFO.
-    fn discipline_pos(&self, queue: &[Queued]) -> usize {
+    /// Queues `q` on engine `e` under its discipline key.
+    fn enqueue(&mut self, e: usize, q: Queued) {
+        debug_assert!(
+            self.holder[q.id].is_none(),
+            "request {} is already queued",
+            q.id
+        );
+        let key = self.discipline_key(q.id, q.arrival);
+        let seq = self.engines[e].queue.push(key, q);
+        self.holder[q.id] = Some((e, seq));
+    }
+
+    /// Removes request `id` from its holder's queue (it must be queued).
+    fn dequeue(&mut self, id: usize) -> Queued {
+        let (e, seq) = self.holder[id].take().expect("request is queued");
+        self.engines[e]
+            .queue
+            .remove(seq)
+            .expect("holder still queues the request")
+    }
+
+    /// The discipline key a request is queued under: its absolute
+    /// deadline under `slo-aware` — and under deadline classes for
+    /// **every** policy, each request's deadline being its class's (so
+    /// an interactive request overtakes queued batch work) — assignment
+    /// order (`None`) otherwise. Without an SLO every deadline
+    /// saturates and EDF degenerates to id order.
+    fn discipline_key(&self, id: usize, arrival: u64) -> Option<u64> {
         if self.cfg.classes.is_some() {
-            return queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, q)| {
-                    (
-                        q.arrival
-                            .saturating_add(self.class_ddl[self.req_class(q.id).idx()]),
-                        q.id,
-                    )
-                })
-                .map(|(pos, _)| pos)
-                .expect("non-empty queue");
+            return Some(arrival.saturating_add(self.class_ddl[self.req_class(id).idx()]));
         }
         match self.cfg.policy {
             SchedPolicy::SloAware => {
-                let ddl = self.cfg.slo.map(|s| s.deadline_cycles).unwrap_or(u64::MAX);
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, q)| (q.arrival.saturating_add(ddl), q.id))
-                    .map(|(pos, _)| pos)
-                    .expect("non-empty queue")
+                let ddl = self.cfg.slo.map_or(u64::MAX, |s| s.deadline_cycles);
+                Some(arrival.saturating_add(ddl))
             }
-            _ => 0,
+            _ => None,
         }
     }
 }
@@ -3193,7 +3238,7 @@ pub fn simulate_queue_forced(
             Engine {
                 mem,
                 next_free: 0,
-                queue: Vec::new(),
+                queue: EngineQueue::default(),
                 queued_est: 0,
                 busy: 0,
                 served: 0,
@@ -3339,6 +3384,7 @@ pub fn simulate_queue_forced(
         redrives: BinaryHeap::new(),
         attempts: vec![0; n],
         arrival_of: vec![0; n],
+        holder: vec![None; n],
         mean_service,
         prov_delay,
         cooldown_cycles,
