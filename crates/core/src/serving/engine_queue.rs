@@ -1,4 +1,4 @@
-//! One engine's backlog in the lazy event loop: requests assigned to the
+//! One engine's backlog in the event loop: requests assigned to the
 //! engine but not yet started.
 //!
 //! The discipline key is fixed when a request is pushed — its absolute
@@ -29,12 +29,12 @@ pub(super) struct Queued {
     pub(super) id: usize,
     pub(super) arrival: u64,
     /// Service estimate at assignment time (the assignee's scale). In
-    /// exact-estimate mode this is the warm-accounted service; in
+    /// the loop's in-order mode this is the warm-accounted service; in
     /// reordering/stealing/drill runs it is the cold scaled estimate
     /// and the serving engine re-prices when service starts.
     pub(super) est: u64,
     /// The warm accounting already performed at assignment
-    /// (exact-estimate mode only) — consumed by `start_service` without
+    /// (in-order mode only) — consumed by `start_service` without
     /// touching the cache again.
     pub(super) exact: Option<ExactService>,
 }

@@ -53,7 +53,8 @@ fn queue_probe() -> Vec<String> {
             );
         }
     }
-    // SLO shedding under pressure, and the lazy loop's fleet features.
+    // SLO shedding under EDF pressure, and a mixed fleet with work
+    // stealing.
     for (name, qcfg) in [
         (
             "slo-shed",
