@@ -229,12 +229,49 @@ fn bench_system(c: &mut Criterion) {
     g.finish();
 }
 
+/// Cache-affinity's residency poll (`peek_span` over 32-line feature
+/// rows on a warmed Table III cache) answered from the residency mirror
+/// vs by one set scan per line. Identical counts; the same-run ratio is
+/// the mirror's speedup.
+fn bench_peek(c: &mut Criterion) {
+    let mut g = c.benchmark_group("peek_span");
+    const ROW: u64 = 32 * 64;
+    const ROWS: u64 = 4096;
+    let mut rng = SmallRng::seed_from_u64(11);
+    let warm = |armed: bool| {
+        let mut mem = MemorySystem::with_engine(
+            CacheConfig::default(),
+            DramConfig::hbm2(),
+            CacheEngine::Flat,
+        );
+        if armed {
+            mem.track_residency(ROWS * ROW / 64);
+        }
+        // 256 rows × 32 lines fill the 512 KiB cache once over.
+        let mut fill = SmallRng::seed_from_u64(5);
+        for _ in 0..256 {
+            mem.read_span(fill.gen_range(0..ROWS) * ROW, ROW, Traffic::FeatureRead);
+        }
+        mem
+    };
+    let (mirror, scan) = (warm(true), warm(false));
+    let polls: Vec<u64> = (0..1_000).map(|_| rng.gen_range(0..ROWS) * ROW).collect();
+    let hits =
+        |mem: &MemorySystem| -> u64 { polls.iter().map(|&a| mem.peek_span(a, ROW).hits).sum() };
+    assert_eq!(hits(&mirror), hits(&scan), "mirror and scan disagree");
+    g.throughput(Throughput::Elements(polls.len() as u64));
+    g.bench_function("mirror", |b| b.iter(|| hits(&mirror)));
+    g.bench_function("tag_scan", |b| b.iter(|| hits(&scan)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cache,
     bench_spans,
     bench_line_runs,
     bench_dram,
-    bench_system
+    bench_system,
+    bench_peek
 );
 criterion_main!(benches);

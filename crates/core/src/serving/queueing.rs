@@ -3194,6 +3194,20 @@ impl<'a> QueueSim<'a> {
             .autoscale
             .as_ref()
             .map_or(cfg.engines, |p| p.min_engines);
+        // Cache-affinity polls every eligible engine's residency of each
+        // sampled row, so its engines mirror residency over every row the
+        // stream can touch (full or lite sample): the poll becomes a
+        // popcount instead of one set scan per line. Other policies never
+        // poll and skip the mirror.
+        let mirror_rows = if cfg.policy == SchedPolicy::CacheAffinity {
+            prepared
+                .iter()
+                .flat_map(|p| p.vertices.iter().chain(&p.lite_vertices))
+                .max()
+                .map(|&v| u64::from(v) + 1)
+        } else {
+            None
+        };
         // Per-engine (class, scale, memory system): a lineup engine runs
         // its class's own cache geometry, DRAM and cache engine at scale
         // 1.0; a legacy engine runs the shared warm-cache geometry at its
@@ -3207,7 +3221,7 @@ impl<'a> QueueSim<'a> {
             .enumerate()
             .map(|(e, &(class, scale))| {
                 let active = e < initial_active;
-                let mem = match &cfg.lineup {
+                let mut mem = match &cfg.lineup {
                     Some(lineup) => {
                         let class_hw = &lineup.classes[class].hw;
                         MemorySystem::with_engine(
@@ -3218,6 +3232,10 @@ impl<'a> QueueSim<'a> {
                     }
                     None => MemorySystem::with_engine(cfg.warm_cache, hw.dram, hw.cache_engine),
                 };
+                if let Some(rows) = mirror_rows {
+                    let class_pricing = &pricing[class];
+                    mem.track_residency(rows * class_pricing.row_stride / class_pricing.line_bytes);
+                }
                 Engine {
                     mem,
                     next_free: 0,

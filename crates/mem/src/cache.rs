@@ -20,6 +20,24 @@
 //!   specification: the equivalence tests below drive both on randomized
 //!   traces and demand identical [`CacheStats`], and the `SGCN_NAIVE=1`
 //!   benchmark baseline runs it end to end.
+//!
+//! # The residency mirror
+//!
+//! A [`Cache`] can also keep an opt-in exact residency mirror
+//! ([`Cache::track_residency`]): one bit per line over a fixed prefix
+//! `0..covered` of the line space, with the invariant
+//!
+//! > bit `l` is set **iff** line `l` is resident in the tag array.
+//!
+//! Every content change keeps it: a miss fill sets the filled line's bit
+//! and, when the set was full, clears the evicted tag's (always the
+//! set's last slot read before the insert — under LRU, FIFO and BIP
+//! alike); invalidates clear the dropped line's bit; `flush` zeroes the
+//! mirror. Lines past the covered prefix are not tracked. A residency
+//! query over a covered range ([`Cache::resident_count`]) is then a few
+//! masked `count_ones` instead of one set scan per line — what
+//! cache-affinity routing polls every engine with. An unarmed cache pays
+//! one untaken branch per miss and per dropped line.
 
 /// Replacement policy for the global cache.
 ///
@@ -186,6 +204,24 @@ pub struct Cache {
     stats: CacheStats,
     /// Deterministic counter driving BIP's bimodal insertion.
     bip_counter: u64,
+    /// Exact residency mirror (see the module docs): bit `l` set iff
+    /// line `l` is resident, for the lines the mirror covers. `None`
+    /// until [`Cache::track_residency`] arms it.
+    resident: Option<Box<[u64]>>,
+}
+
+/// Sets or clears line `line`'s bit in a residency mirror; lines past
+/// the mirror's end are not tracked.
+#[inline]
+fn mark(bits: &mut [u64], line: u64, resident: bool) {
+    if let Some(word) = bits.get_mut((line >> 6) as usize) {
+        let bit = 1u64 << (line & 63);
+        if resident {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
 }
 
 impl Cache {
@@ -209,6 +245,7 @@ impl Cache {
             len: vec![0; sets].into_boxed_slice(),
             stats: CacheStats::default(),
             bip_counter: 0,
+            resident: None,
         }
     }
 
@@ -220,6 +257,51 @@ impl Cache {
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+
+    /// Arms the exact residency mirror over lines `0..lines` (rounded up
+    /// to a whole 64-line word), seeded from the current contents;
+    /// re-arming rebuilds it. From here on every fill, eviction,
+    /// invalidate and flush keeps it exact (see the module docs).
+    pub fn track_residency(&mut self, lines: u64) {
+        let mut bits = vec![0u64; lines.div_ceil(64) as usize].into_boxed_slice();
+        let ways = self.config.ways;
+        for (set_tags, &n) in self.tags.chunks_exact(ways).zip(self.len.iter()) {
+            for &line in &set_tags[..n as usize] {
+                mark(&mut bits, line, true);
+            }
+        }
+        self.resident = Some(bits);
+    }
+
+    /// How many of the `lines` lines from `first` are resident, answered
+    /// from the residency mirror with masked `count_ones` — equal to
+    /// counting [`Cache::peek_line`] over the range. `None` when the
+    /// mirror is unarmed or does not cover the whole range.
+    #[inline]
+    pub fn resident_count(&self, first: u64, lines: u64) -> Option<u64> {
+        let bits = self.resident.as_deref()?;
+        let end = first.checked_add(lines)?;
+        if end > bits.len() as u64 * 64 {
+            return None;
+        }
+        if lines == 0 {
+            return Some(0);
+        }
+        let (first_word, last_word) = ((first >> 6) as usize, ((end - 1) >> 6) as usize);
+        let mut count = 0u64;
+        for (w, &word) in bits[first_word..=last_word].iter().enumerate() {
+            let w = first_word + w;
+            let lo = if w == first_word { first & 63 } else { 0 };
+            let hi = if w == last_word {
+                ((end - 1) & 63) + 1
+            } else {
+                64
+            };
+            let mask = (u64::MAX >> (64 - hi)) & (u64::MAX << lo);
+            count += u64::from((word & mask).count_ones());
+        }
+        Some(count)
     }
 
     /// Probes the line containing `addr`; fills on miss, evicting per the
@@ -265,7 +347,14 @@ impl Cache {
         }
 
         // Miss: evict the LRU slot when full, then insert at MRU (LRU and
-        // FIFO) or at the LRU end (BIP's bimodal cold insert).
+        // FIFO) or at the LRU end (BIP's bimodal cold insert). Either way
+        // the evicted tag is the last slot's, read before the insert.
+        if let Some(bits) = &mut self.resident {
+            if n == ways {
+                mark(bits, set_tags[ways - 1], false);
+            }
+            mark(bits, line, true);
+        }
         let filled = if n == ways {
             self.stats.evictions += 1;
             ways
@@ -310,6 +399,7 @@ impl Cache {
             len,
             stats,
             bip_counter,
+            resident,
             ..
         } = self;
         let ways = config.ways;
@@ -349,6 +439,12 @@ impl Cache {
                         miss_len = 0;
                     }
                 } else {
+                    if let Some(bits) = resident {
+                        if n == ways {
+                            mark(bits, set_tags[ways - 1], false);
+                        }
+                        mark(bits, line, true);
+                    }
                     let filled = if n == ways {
                         evictions += 1;
                         ways
@@ -437,6 +533,9 @@ impl Cache {
             Some(w) => {
                 set_tags.copy_within(w + 1..n, w);
                 self.len[set] = (n - 1) as u8;
+                if let Some(bits) = &mut self.resident {
+                    mark(bits, line, false);
+                }
                 true
             }
             None => false,
@@ -458,6 +557,9 @@ impl Cache {
             if let Some(w) = set_tags[..n].iter().position(|&t| t == line) {
                 set_tags.copy_within(w + 1..n, w);
                 self.len[set] = (n - 1) as u8;
+                if let Some(bits) = &mut self.resident {
+                    mark(bits, line, false);
+                }
             }
             set += 1;
             if set == nsets {
@@ -466,9 +568,13 @@ impl Cache {
         }
     }
 
-    /// Invalidates all lines, keeping the statistics.
+    /// Invalidates all lines, keeping the statistics (and the residency
+    /// mirror armed, now empty).
     pub fn flush(&mut self) {
         self.len.fill(0);
+        if let Some(bits) = &mut self.resident {
+            bits.fill(0);
+        }
     }
 
     /// Resets the statistics, keeping cache contents.
@@ -889,6 +995,104 @@ mod tests {
                 }
             }
             assert_eq!(flat.stats(), list.stats());
+        }
+    }
+
+    mod residency {
+        //! The residency mirror must answer exactly what a per-line tag
+        //! scan answers, after every operation, under every policy, and
+        //! whether it was armed on an empty or an already-warm cache.
+
+        use super::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Lines the mirror is armed over; it covers them rounded up to
+        /// a whole word.
+        const ARMED: u64 = 200;
+        const COVERED: u64 = 256;
+
+        fn scan(c: &Cache, first: u64, lines: u64) -> u64 {
+            (first..first + lines).filter(|&l| c.peek_line(l)).count() as u64
+        }
+
+        fn drive(policy: ReplacementPolicy, seed: u64, prefill: bool, ops: usize) {
+            // 16 sets × 4 ways: 64 resident lines at most.
+            let mut c = Cache::new(CacheConfig {
+                capacity_bytes: 4 * 1024,
+                ways: 4,
+                line_bytes: 64,
+                policy,
+            });
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Most traffic lands in and just past the mirror (hits,
+            // evictions of tracked lines by untracked ones and back);
+            // the rest anywhere in 4× its span.
+            let pick = |rng: &mut SmallRng| {
+                if rng.gen_range(0u32..4) == 0 {
+                    rng.gen_range(0..4 * COVERED)
+                } else {
+                    rng.gen_range(0..COVERED + 64)
+                }
+            };
+            if prefill {
+                // Half the capacity's worth of fills before arming.
+                for _ in 0..32 {
+                    let line = pick(&mut rng);
+                    c.access_line(line);
+                }
+            }
+            assert_eq!(c.resident_count(0, 1), None, "unarmed cache answered");
+            c.track_residency(ARMED);
+            for op in 0..ops {
+                let line = pick(&mut rng);
+                let run = rng.gen_range(1u64..=40);
+                match rng.gen_range(0u32..100) {
+                    0..=59 => {
+                        c.access_line(line);
+                    }
+                    60..=74 => {
+                        c.probe_run(line, run, |_, _| {});
+                    }
+                    75..=89 => {
+                        c.invalidate_line(line);
+                    }
+                    90..=97 => c.invalidate_run(line, run),
+                    _ => c.flush(),
+                }
+                let ctx = format!("{policy:?} seed {seed} prefill {prefill} op {op}");
+                assert_eq!(
+                    c.resident_count(0, COVERED),
+                    Some(scan(&c, 0, COVERED)),
+                    "{ctx}: whole mirror"
+                );
+                for _ in 0..4 {
+                    let first = rng.gen_range(0..COVERED + 32);
+                    let lines = rng.gen_range(0u64..=80);
+                    let expect = (first + lines <= COVERED).then(|| scan(&c, first, lines));
+                    assert_eq!(
+                        c.resident_count(first, lines),
+                        expect,
+                        "{ctx}: range {first}+{lines}"
+                    );
+                }
+                assert_eq!(c.resident_count(COVERED - 1, 2), None, "{ctx}: straddle");
+            }
+        }
+
+        #[test]
+        fn mirror_matches_tag_scan_on_random_traces() {
+            for policy in [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Bip,
+            ] {
+                for seed in 0..4 {
+                    for prefill in [false, true] {
+                        drive(policy, 0x5EED ^ seed, prefill, 2000);
+                    }
+                }
+            }
         }
     }
 }

@@ -162,6 +162,15 @@ impl CacheImpl {
         }
     }
 
+    /// The residency mirror's answer for a line range, when it has one
+    /// (the list cache never mirrors).
+    fn resident_count(&self, first: u64, lines: u64) -> Option<u64> {
+        match self {
+            CacheImpl::Flat(c) => c.resident_count(first, lines),
+            CacheImpl::List(_) => None,
+        }
+    }
+
     fn reset_stats(&mut self) {
         match self {
             CacheImpl::Flat(c) => c.reset_stats(),
@@ -317,19 +326,44 @@ impl MemorySystem {
         self.read_span(addr, bytes, kind);
     }
 
+    /// Arms the flat cache's exact residency mirror over lines
+    /// `0..lines` (see [`Cache::track_residency`]) so that
+    /// [`MemorySystem::peek_span`] answers covered spans by popcount. A
+    /// no-op on the list cache, which stays the per-line reference.
+    pub fn track_residency(&mut self, lines: u64) {
+        if let CacheImpl::Flat(c) = &mut self.cache {
+            c.track_residency(lines);
+        }
+    }
+
     /// Non-mutating residency probe of a span: how many of its lines a
     /// read *would* hit right now. No fill, no promotion, no counters —
     /// the scheduling half of the warm-reuse hooks (a cache-affinity
     /// scheduler peeks every engine before committing a request to one).
+    ///
+    /// When the residency mirror ([`MemorySystem::track_residency`])
+    /// covers the span, the hit count is a few masked popcounts over it;
+    /// otherwise every line's set is scanned. Both give the same exact
+    /// count (debug builds check the mirror against the scan on every
+    /// call).
     pub fn peek_span(&self, addr: u64, bytes: u64) -> SpanCounts {
         if bytes == 0 {
             return SpanCounts::default();
         }
         let (first, last) = self.line_range(addr, bytes);
         let lines = last - first + 1;
-        let hits = (first..=last)
-            .filter(|&line| self.cache.peek_line(line))
-            .count() as u64;
+        let scan = || {
+            (first..=last)
+                .filter(|&line| self.cache.peek_line(line))
+                .count() as u64
+        };
+        let hits = match self.cache.resident_count(first, lines) {
+            Some(hits) => {
+                debug_assert_eq!(hits, scan(), "residency mirror diverged from the tags");
+                hits
+            }
+            None => scan(),
+        };
         SpanCounts {
             lines,
             hits,
@@ -733,6 +767,57 @@ mod tests {
         );
         assert_eq!(m.report(), before, "peek must leave every counter alone");
         assert_eq!(m.peek_span(0, 0), SpanCounts::default());
+    }
+
+    #[test]
+    fn peek_span_from_the_mirror_matches_the_scan() {
+        // An armed and an unarmed twin on both engines (the list cache
+        // ignores arming) through reads, streaming writes, RMW, flushes
+        // and cold resets on a small cache that evicts constantly: every
+        // poll agrees, inside the mirror, past its end and straddling it.
+        for engine in [CacheEngine::Flat, CacheEngine::List] {
+            let mk = || {
+                MemorySystem::with_engine(
+                    CacheConfig::with_capacity_kib(32),
+                    DramConfig::hbm2(),
+                    engine,
+                )
+            };
+            let (mut armed, mut plain) = (mk(), mk());
+            armed.read(0, 1 << 16, Traffic::FeatureRead);
+            plain.read(0, 1 << 16, Traffic::FeatureRead);
+            armed.track_residency(4096);
+            // The whole mirror in 32-line strips, then a straddle of its
+            // end and a span past it.
+            let polls: Vec<(u64, u64)> = (0..128)
+                .map(|k| (k * 2048, 2048))
+                .chain([(1000, 4000), (4096 * 64 - 100, 200), (1 << 20, 512)])
+                .collect();
+            let step = |m: &mut MemorySystem, i: u64| match i % 5 {
+                0 => m.read((i * 7919 * 64) % (1 << 19), 2048, Traffic::FeatureRead),
+                1 => m.write((i * 104_729) % (1 << 18), 300, Traffic::FeatureWrite),
+                2 => m.read_modify_write((i * 65_537) % (1 << 18), 512, Traffic::PartialSum),
+                3 if i % 100 == 3 => m.flush_cache(),
+                4 if i % 150 == 4 => m.reset_cold(),
+                _ => m.read((i * 640) % (1 << 18), 640, Traffic::FeatureRead),
+            };
+            for i in 0..400u64 {
+                step(&mut armed, i);
+                step(&mut plain, i);
+                for &(addr, bytes) in &polls {
+                    assert_eq!(
+                        armed.peek_span(addr, bytes),
+                        plain.peek_span(addr, bytes),
+                        "{engine:?} step {i}: poll {addr}+{bytes}"
+                    );
+                }
+            }
+            assert_eq!(
+                armed.report(),
+                plain.report(),
+                "{engine:?}: arming changed counters"
+            );
+        }
     }
 
     #[test]
